@@ -38,8 +38,9 @@ type Space struct {
 	g *topo.Graph
 	// blocks[i] lists the block numbers owned by AS index i.
 	blocks [][]uint32
-	// owner maps block number -> AS index.
-	owner map[uint32]int
+	// owner[b] is the AS index owning block b; blocks are numbered
+	// densely from 0.
+	owner []int32
 }
 
 // Allocate assigns address blocks to every AS in the graph: one block per
@@ -49,13 +50,10 @@ func Allocate(g *topo.Graph) *Space {
 	s := &Space{
 		g:      g,
 		blocks: make([][]uint32, g.NumASes()),
-		owner:  make(map[uint32]int),
 	}
-	next := uint32(0)
 	take := func(i int) {
-		s.blocks[i] = append(s.blocks[i], next)
-		s.owner[next] = i
-		next++
+		s.blocks[i] = append(s.blocks[i], uint32(len(s.owner)))
+		s.owner = append(s.owner, int32(i))
 	}
 	for i := 0; i < g.NumASes(); i++ {
 		take(i)
@@ -83,6 +81,16 @@ func (s *Space) PrefixesOf(i int) []netip.Prefix {
 // return is false for addresses outside the allocation grid (including
 // IXP segments).
 func (s *Space) ASOf(ip netip.Addr) (int, bool) {
+	blk, ok := blockOf(ip)
+	if !ok || blk >= uint32(len(s.owner)) {
+		return 0, false
+	}
+	return int(s.owner[blk]), true
+}
+
+// blockOf returns the grid block number of an address; ok is false below
+// the grid and for non-IPv4 addresses.
+func blockOf(ip netip.Addr) (uint32, bool) {
 	if !ip.Is4() {
 		return 0, false
 	}
@@ -90,9 +98,7 @@ func (s *Space) ASOf(ip netip.Addr) (int, bool) {
 	if v < base {
 		return 0, false
 	}
-	blk := (v - base) / blockSize
-	i, ok := s.owner[blk]
-	return i, ok
+	return (v - base) / blockSize, true
 }
 
 // RouterAddr returns the address of the k-th router interface of the AS
@@ -161,7 +167,10 @@ func (m PerfectMapper) Map(ip netip.Addr) (int, bool) { return m.Space.ASOf(ip) 
 // which is how real IP-to-AS errors behave.
 type NoisyMapper struct {
 	space *Space
-	wrong map[uint32]int // block -> wrong AS index
+	// wrong[b] is the wrong AS index block b maps to, or -1 when the
+	// block maps correctly.
+	wrong []int32
+	nErr  int
 }
 
 // NewNoisyMapper builds a mapper where errRate of blocks map to a wrong,
@@ -171,39 +180,32 @@ func NewNoisyMapper(space *Space, errRate float64, seed uint64) (*NoisyMapper, e
 		return nil, fmt.Errorf("addr: error rate %v out of [0,1]", errRate)
 	}
 	rng := stats.NewRNG(seed ^ 0xadd2e55e5)
-	m := &NoisyMapper{space: space, wrong: make(map[uint32]int)}
+	m := &NoisyMapper{space: space, wrong: make([]int32, len(space.owner))}
 	n := space.g.NumASes()
-	// Blocks are allocated sequentially from 0; iterate in order so the
-	// error assignment is deterministic (map iteration order is not).
-	for blk := uint32(0); blk < uint32(len(space.owner)); blk++ {
+	// Blocks are allocated sequentially from 0; draw in block order so
+	// the error assignment is deterministic.
+	for blk, owner := range space.owner {
+		m.wrong[blk] = -1
 		if !rng.Bool(errRate) {
 			continue
 		}
 		w := rng.Intn(n)
-		if w == space.owner[blk] {
+		if w == int(owner) {
 			w = (w + 1) % n
 		}
-		m.wrong[blk] = w
+		m.wrong[blk] = int32(w)
+		m.nErr++
 	}
 	return m, nil
 }
 
 // Map implements Mapper.
 func (m *NoisyMapper) Map(ip netip.Addr) (int, bool) {
-	if !ip.Is4() {
-		return 0, false
+	if blk, ok := blockOf(ip); ok && blk < uint32(len(m.wrong)) && m.wrong[blk] >= 0 {
+		return int(m.wrong[blk]), true
 	}
-	v := addrToU32(ip)
-	if v < base {
-		return 0, false
-	}
-	blk := (v - base) / blockSize
-	if w, bad := m.wrong[blk]; bad {
-		return w, true
-	}
-	i, ok := m.space.owner[blk]
-	return i, ok
+	return m.space.ASOf(ip)
 }
 
 // NumErrBlocks returns how many blocks are mis-attributed (for tests).
-func (m *NoisyMapper) NumErrBlocks() int { return len(m.wrong) }
+func (m *NoisyMapper) NumErrBlocks() int { return m.nErr }

@@ -11,7 +11,8 @@ import (
 // with the global tracer disabled, instrumented Propagate must stay
 // within a few atomic loads of the uninstrumented baseline
 // (BenchmarkPropagateFullScale). The "on" variant shows the full cost
-// of journaling a span per propagation.
+// of journaling a span per propagation. Both release their outcomes, as
+// BenchmarkPropagateFullScale does, so the three compare like with like.
 func BenchmarkPropagateTraced(b *testing.B) {
 	g, o := worldForTest(b, 42, 4000)
 	e, err := NewEngine(g, o, DefaultParams(42))
@@ -27,9 +28,11 @@ func BenchmarkPropagateTraced(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Propagate(cfg); err != nil {
+			out, err := e.Propagate(cfg)
+			if err != nil {
 				b.Fatal(err)
 			}
+			out.Release()
 		}
 	})
 	b.Run("on", func(b *testing.B) {
@@ -37,9 +40,11 @@ func BenchmarkPropagateTraced(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Propagate(cfg); err != nil {
+			out, err := e.Propagate(cfg)
+			if err != nil {
 				b.Fatal(err)
 			}
+			out.Release()
 		}
 	})
 }

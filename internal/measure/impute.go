@@ -1,6 +1,10 @@
 package measure
 
-import "spooftrack/internal/bgp"
+import (
+	"math/bits"
+
+	"spooftrack/internal/bgp"
+)
 
 // Imputation implements §IV-d (source visibility): the analysis is
 // limited to the sources observed in the first (baseline) configuration,
@@ -58,8 +62,8 @@ func Impute(ms []*CatchmentMeasurement) *ImputeResult {
 	}
 
 	// sig[k][cc] = observed catchment of source k in config cc, encoded
-	// as link+1 in a byte (0 = unobserved). Catchment ids fit a byte for
-	// any realistic peering footprint.
+	// as link+1 in a byte (0 = unobserved). Catchment ids fit a byte
+	// because peering.New rejects more than 254 muxes.
 	sig := make([][]byte, s)
 	for k, src := range sources {
 		row := make([]byte, c)
@@ -83,19 +87,30 @@ func Impute(ms []*CatchmentMeasurement) *ImputeResult {
 		}
 	}
 
+	// Pack each signature's sampled columns eight to a word, so one
+	// similarity score is a few XOR/popcount steps per word.
+	words := (len(sample) + 7) / 8
+	packed := make([]uint64, s*words)
+	for k, row := range sig {
+		for p, cc := range sample {
+			packed[k*words+p/8] |= uint64(row[cc]) << (8 * (p % 8))
+		}
+	}
 	smaxOf := func(k int) int {
 		best, bestScore := -1, -1
-		row := sig[k]
+		row := packed[k*words : (k+1)*words]
+		var nonzero [maxSimilarityConfigs / 8]uint64
+		for w, r := range row {
+			nonzero[w] = nonzeroBytes(r)
+		}
 		for t := 0; t < s; t++ {
 			if t == k {
 				continue
 			}
-			other := sig[t]
+			other := packed[t*words : (t+1)*words]
 			score := 0
-			for _, cc := range sample {
-				if row[cc] != 0 && row[cc] == other[cc] {
-					score++
-				}
+			for w, r := range row {
+				score += bits.OnesCount64(^nonzeroBytes(r^other[w]) & nonzero[w])
 			}
 			if score > bestScore {
 				best, bestScore = t, score
@@ -125,4 +140,12 @@ func Impute(ms []*CatchmentMeasurement) *ImputeResult {
 		res.Catchments[cc] = filled
 	}
 	return res
+}
+
+// nonzeroBytes sets the high bit of each byte of x that is nonzero and
+// clears every other bit. Adding 0x7f to a byte's low seven bits never
+// carries into the next byte, so the bytes are tested independently.
+func nonzeroBytes(x uint64) uint64 {
+	const lo7, hi = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
+	return ((x&lo7 + lo7) | x) & hi
 }

@@ -64,9 +64,11 @@ type InferInput struct {
 // Infer runs the full §IV-b/c pipeline on one observation: repairs
 // traceroutes, maps them to AS-level paths, extracts catchment evidence
 // from BGP paths (high priority) and traceroutes (low priority), and
-// resolves conflicts by priority then majority vote.
+// resolves conflicts by priority then majority vote. LinkOf must return
+// non-negative link ids.
 func Infer(obs Observation, in InferInput) *CatchmentMeasurement {
-	n := in.Graph.NumASes()
+	g := in.Graph
+	n := g.NumASes()
 	m := &CatchmentMeasurement{
 		Catchment: make([]bgp.LinkID, n),
 		Observed:  make([]bool, n),
@@ -75,93 +77,108 @@ func Infer(obs Observation, in InferInput) *CatchmentMeasurement {
 		m.Catchment[i] = bgp.NoLink
 	}
 
-	// evidence[i] counts observations per link, separately by source
-	// type; small fixed-size maps keyed by link.
-	type votes map[bgp.LinkID]int
-	bgpVotes := make(map[int]votes)
-	trVotes := make(map[int]votes)
-	add := func(dst map[int]votes, as int, l bgp.LinkID) {
-		v, ok := dst[as]
-		if !ok {
-			v = make(votes, 2)
-			dst[as] = v
-		}
-		v[l]++
-	}
+	// Evidence is gathered as (AS, link) pairs, separately by source
+	// type, and counted once the largest link is known.
+	var bgpEv, trEv []vote
+	maxLink := bgp.LinkID(-1)
 
 	// BGP evidence: every AS on a collector's path up to the provider is
 	// routed via that path's link.
 	seqIdx := newASSeqIndex(obs.BGPPaths, in.OriginASN)
 	for _, path := range obs.BGPPaths {
-		prefix, provider, ok := splitPath(path, in.OriginASN, in.Graph, in.LinkOf)
+		prefix, link, ok := splitPath(path, in.OriginASN, g, in.LinkOf)
 		if !ok {
 			continue
 		}
-		for _, as := range prefix {
-			add(bgpVotes, as, provider)
+		maxLink = max(maxLink, link)
+		for _, asn := range prefix {
+			if i, ok := g.Index(asn); ok {
+				bgpEv = append(bgpEv, vote{int32(i), int32(link)})
+			}
 		}
 	}
 
-	// Traceroute evidence, after the three repair stages.
-	repaired := RepairUnresponsive(obs.Traceroutes)
-	for _, tr := range repaired {
-		asPath := ASLevelPath(tr, in.Graph, in.Mapper, seqIdx)
+	// Traceroute evidence, after the three repair stages. Each repaired
+	// traceroute is consumed at once, so one hop buffer serves them all.
+	gaps, _ := buildGapIndex(obs.Traceroutes)
+	var hops []Hop
+	var asPath []int
+	for _, tr := range obs.Traceroutes {
+		tr, hops = repairOne(tr, gaps, hops[:0])
+		asPath = appendASLevelPath(asPath[:0], tr, g, in.Mapper, seqIdx)
 		if len(asPath) == 0 {
 			continue
 		}
-		provider := asPath[len(asPath)-1]
-		link, ok := in.LinkOf(provider)
+		link, ok := in.LinkOf(asPath[len(asPath)-1])
 		if !ok {
 			continue // mapping noise garbled the provider; unattributable
 		}
+		maxLink = max(maxLink, link)
 		for _, as := range asPath {
-			add(trVotes, as, link)
+			trEv = append(trEv, vote{int32(as), int32(link)})
 		}
+	}
+	if maxLink < 0 {
+		return m
 	}
 
-	// Resolution: BGP beats traceroute; within a type, majority vote
-	// with deterministic tie-breaking toward the lowest link id.
-	resolve := func(v votes) bgp.LinkID {
-		best, bestN := bgp.NoLink, 0
-		for l, c := range v {
-			if c > bestN || (c == bestN && l < best) {
-				best, bestN = l, c
+	// Count into dense [n·L] arrays, one per source type.
+	L := int(maxLink) + 1
+	bgpN := make([]int32, n*L)
+	trN := make([]int32, n*L)
+	for _, v := range bgpEv {
+		bgpN[int(v.as)*L+int(v.link)]++
+	}
+	for _, v := range trEv {
+		trN[int(v.as)*L+int(v.link)]++
+	}
+
+	// Resolution: BGP beats traceroute; within a type, majority vote.
+	// The ascending scan with strict > breaks ties toward the lowest
+	// link id.
+	for i := 0; i < n; i++ {
+		bRow, tRow := bgpN[i*L:(i+1)*L], trN[i*L:(i+1)*L]
+		bestB, bestT := bgp.NoLink, bgp.NoLink
+		var nB, nT int32
+		links := 0
+		for l := range bRow {
+			cb, ct := bRow[l], tRow[l]
+			if cb == 0 && ct == 0 {
+				continue
+			}
+			links++
+			if cb > nB {
+				bestB, nB = bgp.LinkID(l), cb
+			}
+			if ct > nT {
+				bestT, nT = bgp.LinkID(l), ct
 			}
 		}
-		return best
-	}
-	for i := 0; i < n; i++ {
-		bv, hasB := bgpVotes[i]
-		tv, hasT := trVotes[i]
-		if !hasB && !hasT {
+		if links == 0 {
 			continue
 		}
 		m.Observed[i] = true
-		if hasB {
-			m.Catchment[i] = resolve(bv)
+		if nB > 0 {
+			m.Catchment[i] = bestB
 		} else {
-			m.Catchment[i] = resolve(tv)
+			m.Catchment[i] = bestT
 		}
 		// Conflict accounting across all evidence.
-		links := make(map[bgp.LinkID]bool, 2)
-		for l := range bv {
-			links[l] = true
-		}
-		for l := range tv {
-			links[l] = true
-		}
-		if len(links) > 1 {
+		if links > 1 {
 			m.MultiCatchment++
 		}
 	}
 	return m
 }
 
+// vote is one piece of catchment evidence: AS as was seen routed via
+// link.
+type vote struct{ as, link int32 }
+
 // splitPath cuts an AS-path at the first occurrence of the origin ASN
-// and resolves the provider (last topology AS before it) to a link. The
-// returned prefix contains dense indices of all topology ASes before the
-// origin.
-func splitPath(path []topo.ASN, origin topo.ASN, g *topo.Graph, linkOf func(int) (bgp.LinkID, bool)) ([]int, bgp.LinkID, bool) {
+// and resolves the provider (last topology AS before it) to a link. It
+// returns the ASNs before the origin.
+func splitPath(path []topo.ASN, origin topo.ASN, g *topo.Graph, linkOf func(int) (bgp.LinkID, bool)) ([]topo.ASN, bgp.LinkID, bool) {
 	cut := -1
 	for k, asn := range path {
 		if asn == origin {
@@ -180,13 +197,7 @@ func splitPath(path []topo.ASN, origin topo.ASN, g *topo.Graph, linkOf func(int)
 	if !ok {
 		return nil, bgp.NoLink, false
 	}
-	prefix := make([]int, 0, cut)
-	for _, asn := range path[:cut] {
-		if i, ok := g.Index(asn); ok {
-			prefix = append(prefix, i)
-		}
-	}
-	return prefix, link, true
+	return path[:cut], link, true
 }
 
 // asSeqIndex indexes, for pairs of ASNs seen on BGP paths, the unique
@@ -257,49 +268,48 @@ func asnSeqEqual(a, b []topo.ASN) bool {
 // are bridged by the unique BGP AS sequence when one exists; remaining
 // unmapped hops are dropped. Consecutive duplicate ASes collapse.
 func ASLevelPath(tr Traceroute, g *topo.Graph, mapper addr.Mapper, seqIdx *asSeqIndex) []int {
-	// First map every hop: >=0 AS index, -1 unmapped, -2 destination.
-	mapped := make([]int, len(tr.Hops))
-	for k, h := range tr.Hops {
-		switch {
-		case !h.Responsive:
-			mapped[k] = -1
-		case h.Addr == TargetAddr:
-			mapped[k] = -2
-		default:
+	var buf [64]int
+	out := appendASLevelPath(buf[:0], tr, g, mapper, seqIdx)
+	if len(out) == 0 {
+		return nil
+	}
+	return append([]int(nil), out...)
+}
+
+// appendASLevelPath appends tr's AS-level path to dst.
+func appendASLevelPath(dst []int, tr Traceroute, g *topo.Graph, mapper addr.Mapper, seqIdx *asSeqIndex) []int {
+	// Map every hop up to the destination (after it, stuffing is
+	// impossible) to an AS index or -1 for unmapped, collapsing
+	// consecutive duplicates, unmapped markers included.
+	var buf [64]int
+	seq := buf[:0]
+	for _, h := range tr.Hops {
+		v := -1
+		if h.Responsive {
+			if h.Addr == TargetAddr {
+				break
+			}
 			if i, ok := mapper.Map(h.Addr); ok {
-				mapped[k] = i
-			} else {
-				mapped[k] = -1
+				v = i
 			}
 		}
-	}
-	// Collapse consecutive duplicates, keeping unmapped markers.
-	var seq []int
-	for _, v := range mapped {
-		if v == -2 {
-			break // destination reached; stuffing after is impossible
-		}
-		if len(seq) > 0 && seq[len(seq)-1] == v && v >= 0 {
-			continue
-		}
-		// Merge consecutive unmapped markers too.
-		if len(seq) > 0 && seq[len(seq)-1] == -1 && v == -1 {
+		if len(seq) > 0 && seq[len(seq)-1] == v {
 			continue
 		}
 		seq = append(seq, v)
 	}
 	// Stage 2 + 3: resolve unmapped runs using surrounding ASes.
-	var out []int
-	for i := 0; i < len(seq); i++ {
-		v := seq[i]
+	base := len(dst)
+	out := dst
+	for i, v := range seq {
 		if v >= 0 {
-			if len(out) == 0 || out[len(out)-1] != v {
+			if len(out) == base || out[len(out)-1] != v {
 				out = append(out, v)
 			}
 			continue
 		}
 		prev := -1
-		if len(out) > 0 {
+		if len(out) > base {
 			prev = out[len(out)-1]
 		}
 		next := -1
@@ -313,7 +323,7 @@ func ASLevelPath(tr Traceroute, g *topo.Graph, mapper addr.Mapper, seqIdx *asSeq
 			// Different ASes: bridge via unique BGP sequence if known.
 			if bridge, ok := seqIdx.lookup(g.ASN(prev), g.ASN(next)); ok {
 				for _, asn := range bridge {
-					if bi, ok := g.Index(asn); ok && (len(out) == 0 || out[len(out)-1] != bi) {
+					if bi, ok := g.Index(asn); ok && (len(out) == base || out[len(out)-1] != bi) {
 						out = append(out, bi)
 					}
 				}

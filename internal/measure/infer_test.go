@@ -344,6 +344,25 @@ func TestInferBGPPriorityOverTraceroute(t *testing.T) {
 	}
 }
 
+func TestInferBGPTieBreaksToLowestLink(t *testing.T) {
+	w := newMeasureWorld(t, 43, 400, 10, 10)
+	muxes := w.platform.Muxes()
+	provA, provB := muxes[0].Provider, muxes[1].Provider
+	x, y := 30, 31
+	// x is on one collector path via each provider: a 1–1 tie.
+	obs := Observation{BGPPaths: map[int][]topo.ASN{
+		x: {w.g.ASN(x), w.g.ASN(provB), peering.PEERINGASN},
+		y: {w.g.ASN(y), w.g.ASN(x), w.g.ASN(provA), peering.PEERINGASN},
+	}}
+	lA, _ := w.platform.LinkByProvider(w.g.ASN(provA))
+	lB, _ := w.platform.LinkByProvider(w.g.ASN(provB))
+	for _, m := range []*CatchmentMeasurement{Infer(obs, w.input), refInfer(obs, w.input)} {
+		if want := min(lA, lB); m.Catchment[x] != want {
+			t.Fatalf("tied catchment %d, want lowest link %d", m.Catchment[x], want)
+		}
+	}
+}
+
 func TestInferMajorityVote(t *testing.T) {
 	w := newMeasureWorld(t, 42, 400, 10, 10)
 	muxes := w.platform.Muxes()

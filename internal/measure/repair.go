@@ -1,39 +1,103 @@
 package measure
 
-import (
-	"net/netip"
-	"strings"
-)
+import "net/netip"
 
 // RepairUnresponsive implements the first repair stage of §IV-b: for each
 // run of unresponsive hops surrounded by responsive hops (a ... b), look
 // across all other traceroutes for responsive hop sequences observed
 // between a and b; if exactly one distinct sequence exists, substitute
-// it. Returns repaired copies; inputs are not modified.
+// it. Returns repaired copies; inputs are not modified. The repaired hop
+// lists share one backing array.
 func RepairUnresponsive(trs []Traceroute) []Traceroute {
-	idx := buildGapIndex(trs)
+	idx, total := buildGapIndex(trs)
 	out := make([]Traceroute, len(trs))
+	slab := make([]Hop, 0, total)
 	for i, tr := range trs {
-		out[i] = repairOne(tr, idx)
+		out[i], slab = repairOne(tr, idx, slab)
 	}
 	return out
 }
 
-// gapKey identifies a pair of responsive hop addresses that surround a
-// gap.
-type gapKey struct{ a, b netip.Addr }
+// gapIndex holds, for every pair of responsive hops (a, b) that surrounds
+// a gap in some traceroute, the responsive sequences observed between a
+// and b elsewhere. repairOne looks up nothing else, so windows whose
+// endpoints surround no gap are never stored. Entries sharing an a are
+// chained, so the window scan costs one map lookup per responsive hop.
+type gapIndex struct {
+	byA     map[netip.Addr]int32
+	entries []gapEntry
+}
 
-// gapIndex maps a surrounding pair to the set of distinct responsive
-// sequences observed between them. Sequences are encoded as strings for
-// set semantics; "" marks a conflicting (non-unique) entry.
-type gapIndex map[gapKey]map[string][]Hop
+type gapEntry struct {
+	b netip.Addr
+	// seq is the first sequence observed between a and b, aliased into
+	// the input traceroutes; nil until one is observed.
+	seq []Hop
+	// conflict marks a pair with more than one distinct sequence.
+	conflict bool
+	// next is the index of the next entry with the same a, or -1.
+	next int32
+}
 
-func buildGapIndex(trs []Traceroute) gapIndex {
-	idx := make(gapIndex)
+// find returns the entry index for (a, b), or -1.
+func (idx *gapIndex) find(a, b netip.Addr) int32 {
+	k, ok := idx.byA[a]
+	if !ok {
+		return -1
+	}
+	for ; k >= 0; k = idx.entries[k].next {
+		if idx.entries[k].b == b {
+			return k
+		}
+	}
+	return -1
+}
+
+// buildGapIndex indexes the sequences repair needs in two passes: the
+// first collects the pairs surrounding each maximal unresponsive run
+// (and counts hops to size the output slab), the second scans every
+// responsive window of 2–4 hops for those pairs only. It returns the
+// index and the total input hop count.
+func buildGapIndex(trs []Traceroute) (*gapIndex, int) {
+	idx := &gapIndex{byA: make(map[netip.Addr]int32)}
+	total := 0
 	for _, tr := range trs {
 		hops := tr.Hops
-		for i := 0; i < len(hops); i++ {
+		total += len(hops)
+		for i := 1; i < len(hops); i++ {
+			if hops[i].Responsive || !hops[i-1].Responsive {
+				continue
+			}
+			j := i + 1
+			for j < len(hops) && !hops[j].Responsive {
+				j++
+			}
+			if j == len(hops) {
+				break
+			}
+			a, b := hops[i-1].Addr, hops[j].Addr
+			if idx.find(a, b) < 0 {
+				head, ok := idx.byA[a]
+				if !ok {
+					head = -1
+				}
+				idx.byA[a] = int32(len(idx.entries))
+				idx.entries = append(idx.entries, gapEntry{b: b, next: head})
+			}
+			i = j
+		}
+	}
+	if len(idx.entries) == 0 {
+		return idx, total
+	}
+	for _, tr := range trs {
+		hops := tr.Hops
+		for i := 0; i+2 < len(hops); i++ {
 			if !hops[i].Responsive {
+				continue
+			}
+			head, ok := idx.byA[hops[i].Addr]
+			if !ok {
 				continue
 			}
 			// Extend a window of fully responsive hops after i.
@@ -41,42 +105,57 @@ func buildGapIndex(trs []Traceroute) gapIndex {
 				if !hops[j].Responsive {
 					break
 				}
-				if j-i >= 2 { // at least one intermediate hop
-					key := gapKey{hops[i].Addr, hops[j].Addr}
-					seq := hops[i+1 : j]
-					enc := encodeHops(seq)
-					m, ok := idx[key]
-					if !ok {
-						m = make(map[string][]Hop)
-						idx[key] = m
-					}
-					if _, dup := m[enc]; !dup {
-						m[enc] = append([]Hop(nil), seq...)
+				if j-i < 2 { // no intermediate hop yet
+					continue
+				}
+				for k := head; k >= 0; k = idx.entries[k].next {
+					if e := &idx.entries[k]; e.b == hops[j].Addr {
+						e.observe(hops[i+1 : j])
+						break
 					}
 				}
 			}
 		}
 	}
-	return idx
+	return idx, total
 }
 
-func encodeHops(hops []Hop) string {
-	var sb strings.Builder
-	for _, h := range hops {
-		sb.WriteString(h.Addr.String())
-		sb.WriteByte('|')
+func (e *gapEntry) observe(seq []Hop) {
+	switch {
+	case e.conflict:
+	case e.seq == nil:
+		e.seq = seq
+	case !hopsEqual(e.seq, seq):
+		e.conflict = true
 	}
-	return sb.String()
 }
 
-func repairOne(tr Traceroute, idx gapIndex) Traceroute {
+func hopsEqual(x, y []Hop) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if x[i] != y[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// repairOne appends tr's repaired hops to slab and returns tr with Hops
+// set to them. Every run of unresponsive hops starting at i > 0 follows a
+// responsive hops[i-1], which is the key's first address.
+func repairOne(tr Traceroute, idx *gapIndex, slab []Hop) (Traceroute, []Hop) {
 	hops := tr.Hops
-	var out []Hop
+	if len(hops) == 0 {
+		tr.Hops = nil
+		return tr, slab
+	}
+	start := len(slab)
 	i := 0
 	for i < len(hops) {
-		h := hops[i]
-		if h.Responsive {
-			out = append(out, h)
+		if hops[i].Responsive {
+			slab = append(slab, hops[i])
 			i++
 			continue
 		}
@@ -85,22 +164,20 @@ func repairOne(tr Traceroute, idx gapIndex) Traceroute {
 		for j < len(hops) && !hops[j].Responsive {
 			j++
 		}
-		// Surrounded by responsive hops?
-		if len(out) > 0 && j < len(hops) {
-			key := gapKey{out[len(out)-1].Addr, hops[j].Addr}
-			if m, ok := idx[key]; ok && len(m) == 1 {
-				for _, seq := range m {
-					out = append(out, seq...)
+		// Surrounded by responsive hops with a unique repair?
+		if i > 0 && j < len(hops) {
+			if k := idx.find(hops[i-1].Addr, hops[j].Addr); k >= 0 {
+				if e := &idx.entries[k]; !e.conflict && e.seq != nil {
+					slab = append(slab, e.seq...)
+					i = j
+					continue
 				}
-				i = j
-				continue
 			}
 		}
 		// No unique repair: keep the unresponsive hops as-is.
-		out = append(out, hops[i:j]...)
+		slab = append(slab, hops[i:j]...)
 		i = j
 	}
-	repaired := tr
-	repaired.Hops = out
-	return repaired
+	tr.Hops = slab[start:len(slab):len(slab)]
+	return tr, slab
 }

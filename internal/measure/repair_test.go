@@ -74,3 +74,49 @@ func TestRepairPreservesMetadata(t *testing.T) {
 		t.Fatal("metadata lost during repair")
 	}
 }
+
+func TestRepairConflictInLengthOnly(t *testing.T) {
+	// The references agree on every hop they share; one repeats 2.2.2.2.
+	// Sequences of different lengths are distinct, so no repair.
+	ref1 := Traceroute{Hops: []Hop{resp("1.1.1.1"), resp("2.2.2.2"), resp("3.3.3.3")}}
+	ref2 := Traceroute{Hops: []Hop{resp("1.1.1.1"), resp("2.2.2.2"), resp("2.2.2.2"), resp("3.3.3.3")}}
+	broken := Traceroute{Hops: []Hop{resp("1.1.1.1"), dead(), resp("3.3.3.3")}}
+	for _, order := range [][]Traceroute{{ref1, ref2, broken}, {ref2, ref1, broken}} {
+		out := RepairUnresponsive(order)
+		if got := out[2].Hops; len(got) != 3 || got[1].Responsive {
+			t.Fatalf("length-only conflict repaired: %v", out[2].debugString())
+		}
+	}
+}
+
+func TestRepairLongerThanGap(t *testing.T) {
+	// One dead hop is replaced by three responsive ones, so the output
+	// outgrows the input's hop count and the shared backing array.
+	ref := Traceroute{Hops: []Hop{resp("1.1.1.1"), resp("2.2.2.2"), resp("4.4.4.4"), resp("5.5.5.5"), resp("3.3.3.3")}}
+	broken := Traceroute{Hops: []Hop{resp("1.1.1.1"), dead(), resp("3.3.3.3")}}
+	out := RepairUnresponsive([]Traceroute{broken, ref, broken})
+	want := ref.debugString()
+	for _, k := range []int{0, 2} {
+		if got := out[k].debugString(); got != want {
+			t.Fatalf("traceroute %d repaired to %q, want %q", k, got, want)
+		}
+	}
+	if got := out[1].debugString(); got != want {
+		t.Fatalf("reference changed to %q", got)
+	}
+	// Appending to one repaired list must not write into another.
+	_ = append(out[0].Hops, resp("9.9.9.9"))
+	_ = append(out[1].Hops, resp("9.9.9.9"))
+	if out[1].debugString() != want || out[2].debugString() != want {
+		t.Fatal("repaired traceroutes share writable capacity")
+	}
+}
+
+func TestRepairTwoGapsOneHopApart(t *testing.T) {
+	ref := Traceroute{Hops: []Hop{resp("1.1.1.1"), resp("2.2.2.2"), resp("3.3.3.3"), resp("4.4.4.4"), resp("5.5.5.5")}}
+	broken := Traceroute{Hops: []Hop{resp("1.1.1.1"), dead(), resp("3.3.3.3"), dead(), resp("5.5.5.5")}}
+	out := RepairUnresponsive([]Traceroute{ref, broken})
+	if got, want := out[1].debugString(), ref.debugString(); got != want {
+		t.Fatalf("two gaps repaired to %q, want %q", got, want)
+	}
+}

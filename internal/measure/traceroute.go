@@ -81,7 +81,9 @@ func SynthesizeTraceroute(out *bgp.Outcome, space *addr.Space, probe int, noise 
 	if routers < 1 {
 		routers = 1
 	}
-	tr := Traceroute{ProbeAS: probe, Reached: true}
+	// At most three hops per AS (IXP, ingress, egress) plus the
+	// destination.
+	tr := Traceroute{ProbeAS: probe, Reached: true, Hops: make([]Hop, 0, 3*len(dp)+1)}
 	emit := func(a netip.Addr) {
 		if rng.Bool(noise.PrUnresponsive) {
 			tr.Hops = append(tr.Hops, Hop{})
@@ -136,6 +138,7 @@ func Collect(out *bgp.Outcome, v VantageSet, space *addr.Space, noise NoiseParam
 	if rounds < 1 {
 		rounds = 1
 	}
+	obs.Traceroutes = make([]Traceroute, 0, rounds*len(v.Probes))
 	for round := 0; round < rounds; round++ {
 		for _, probe := range v.Probes {
 			if tr, ok := SynthesizeTraceroute(out, space, probe, noise, rng); ok && tr.Reached {

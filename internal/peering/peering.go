@@ -135,6 +135,11 @@ type Options struct {
 	OutcomeCacheCapacity int
 }
 
+// maxMuxes bounds the muxes a platform deploys. Measurement imputation
+// packs a catchment link id as link+1 into a byte, so link ids must stay
+// below 255.
+const maxMuxes = 254
+
 // New builds a platform over the topology, binding each mux to a transit
 // provider. Providers are chosen deterministically: the highest-customer-
 // degree non-tier-1 transit ASes, greedily spread so no two muxes share a
@@ -147,6 +152,9 @@ func New(g *topo.Graph, opts Options) (*Platform, error) {
 	}
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("peering: no muxes requested")
+	}
+	if len(specs) > maxMuxes {
+		return nil, fmt.Errorf("peering: %d muxes requested, at most %d supported", len(specs), maxMuxes)
 	}
 	cons := DefaultConstraints()
 	if opts.Constraints != nil {

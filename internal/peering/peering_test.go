@@ -1,6 +1,8 @@
 package peering
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -207,6 +209,20 @@ func TestNewErrors(t *testing.T) {
 	tiny := b.Freeze()
 	if _, err := New(tiny, Options{}); err == nil {
 		t.Fatal("expected error for too-small topology")
+	}
+}
+
+func TestNewRejectsMoreMuxesThanLinkIDsFit(t *testing.T) {
+	// Imputation packs link id l as byte(l)+1: link 255 would read as
+	// "unobserved" and link 256 as link 0.
+	g := graphForTest(t, 800)
+	specs := make([]MuxSpec, maxMuxes+1)
+	for i := range specs {
+		specs[i] = MuxSpec{Name: fmt.Sprintf("M%d", i)}
+	}
+	_, err := New(g, Options{Muxes: specs})
+	if err == nil || !strings.Contains(err.Error(), "at most 254") {
+		t.Fatalf("New with %d muxes: err = %v, want the 254-mux bound", len(specs), err)
 	}
 }
 

@@ -223,10 +223,10 @@ func TestFilterCandidatesBySAV(t *testing.T) {
 	// Source positions 0..3 map to dense ASes 10..13.
 	sources := []int{10, 11, 12, 13}
 	signal := make([]SAVSignal, 20)
-	signal[10] = SAVCanSpoof     // corroborated: kept
-	signal[11] = SAVCannotSpoof  // confirmed filtered: conflicted
-	signal[12] = SAVNoData       // unprobed: kept
-	signal[13] = SAVCannotSpoof  // confirmed filtered: conflicted
+	signal[10] = SAVCanSpoof    // corroborated: kept
+	signal[11] = SAVCannotSpoof // confirmed filtered: conflicted
+	signal[12] = SAVNoData      // unprobed: kept
+	signal[13] = SAVCannotSpoof // confirmed filtered: conflicted
 	kept, conflicted := FilterCandidatesBySAV([]int{0, 1, 2, 3}, sources, signal)
 	if !reflect.DeepEqual(kept, []int{0, 2}) {
 		t.Fatalf("kept = %v, want [0 2]", kept)

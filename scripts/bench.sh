@@ -6,11 +6,11 @@
 # benchmarks with their 1/5-of-full regression budget), the probe-scan
 # benchmarks (pinning that a concurrent SAV scan loop does not perturb
 # propagation beyond a 3x budget), the sharded-ingest benchmarks (ring
-# routing must stay within 10% of a bare pipeline), and the figure
-# benchmarks, then
-# records every result — ns/op, B/op, allocs/op, and the figures' custom
-# metrics — in BENCH_<date>.json for before/after comparison across
-# commits.
+# routing must stay within 10% of a bare pipeline), the
+# catchment-inference benchmarks (Infer within 1/3 of its reference
+# implementation), and the figure benchmarks, then records every
+# result — ns/op, B/op, allocs/op, and the figures' custom metrics — in
+# BENCH_<date>.json for before/after comparison across commits.
 #
 # Environment knobs:
 #   ENGINE_BENCHTIME  -benchtime for the engine micro-benchmarks
@@ -171,6 +171,30 @@ END {
 	}
 }' "$LEDGER_TMP"
 rm -f "$LEDGER_TMP"
+
+echo "==> catchment-inference benchmarks (Infer must stay at or under 1/3 of the reference implementation)"
+INFER_TMP=$(mktemp)
+go test ./internal/measure/ -run '^$' -bench '^BenchmarkInfer(Reference)?$' -benchmem \
+	-count 3 | tee "$INFER_TMP"
+cat "$INFER_TMP" >>"$TMP"
+# Inference budget: one paper-scale configuration (4000 ASes, 250
+# collectors, 1600 probes, noisy IP-to-AS mapping) through hop repair,
+# AS-path mapping and voting may take at most 1/3 of the original
+# string-keyed, map-of-maps implementation kept in the package's tests as
+# the oracle. Min over -count runs, like the delta and ledger gates.
+awk '
+/^BenchmarkInfer-/ { if (fast + 0 == 0 || $3 + 0 < fast) fast = $3 }
+/^BenchmarkInferReference-/ { if (ref + 0 == 0 || $3 + 0 < ref) ref = $3 }
+END {
+	if (fast + 0 == 0 || ref + 0 == 0) {
+		print "bench: missing catchment-inference results"; exit 1
+	}
+	printf "bench: Infer = %.1fx faster than the reference implementation\n", ref / fast
+	if (fast * 3 > ref) {
+		print "bench: Infer exceeds 1/3 of the reference implementation"; exit 1
+	}
+}' "$INFER_TMP"
+rm -f "$INFER_TMP"
 
 echo "==> figure benchmarks (-benchtime $FIGURE_BENCHTIME)"
 go test . -run '^$' -bench '.' -benchmem \

@@ -1,11 +1,19 @@
 #!/bin/sh
-# CI entry point: vet, build, and test the whole module, then run the
-# race detector over the concurrency-heavy packages (streaming pipeline,
-# honeypot, parallel campaign deployment, pooled propagation engine),
-# and smoke-test the benchmark harness so a perf regression in the
-# engine fast path cannot land silently broken.
+# CI entry point: check formatting, vet, build, and test the whole
+# module, then run the race detector over the concurrency-heavy packages
+# (streaming pipeline, honeypot, parallel campaign deployment, pooled
+# propagation engine), and smoke-test the benchmark harness so a perf
+# regression in the engine fast path cannot land silently broken.
 set -eu
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting:"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "==> go vet"
 go vet ./...
