@@ -292,6 +292,7 @@ func main() {
 		SourceASNs: tracker.SourceASNs(),
 		NumLinks:   platform.NumLinks(),
 	}
+	evalPar := stream.EvalParams{SplitThreshold: *threshold, MaxOnlineConfigs: *maxConfigs}
 
 	// Controller mode runs no packet plane: it is the merge-and-decide
 	// tier for an external set of shard processes.
@@ -302,7 +303,7 @@ func main() {
 			peers:     *ctrlPeers,
 			leaseFile: *leaseFile,
 			attr:      attr,
-			eval:      stream.EvalParams{SplitThreshold: *threshold, MaxOnlineConfigs: *maxConfigs},
+			eval:      evalPar,
 			minRound:  *minRound,
 			interval:  *evalEvery,
 			tracker:   tracker,
@@ -373,9 +374,8 @@ func main() {
 	pipeCfg := stream.Config{
 		Workers:          *workers,
 		EvalInterval:     *evalEvery,
-		SplitThreshold:   *threshold,
+		Eval:             evalPar,
 		MinRoundPackets:  *minRound,
-		MaxOnlineConfigs: *maxConfigs,
 		Settle:           *settle,
 		Metrics:          reg,
 		Shed:             *shed,
@@ -425,7 +425,7 @@ func main() {
 		cl, err = shard.NewCluster(shard.ClusterConfig{
 			Shards:          *numShards,
 			Attr:            attr,
-			Eval:            stream.EvalParams{SplitThreshold: *threshold, MaxOnlineConfigs: *maxConfigs},
+			Eval:            evalPar,
 			MinRoundPackets: *minRound,
 			Pipe: stream.Config{
 				Workers:          *workers,

@@ -28,7 +28,8 @@ type ClusterConfig struct {
 	Eval            stream.EvalParams
 	MinRoundPackets int64
 	// Pipe is the per-node pipeline base configuration (Relay is forced,
-	// Ledger is stripped — only the controller writes provenance).
+	// Ledger is stripped — only the controller writes provenance; its
+	// Eval is unused, since relays never fold).
 	Pipe stream.Config
 	// Standbys is how many extra controllers wait on the lease (default 1).
 	Standbys int

@@ -9,7 +9,6 @@ import (
 
 	"spooftrack/internal/metrics"
 	"spooftrack/internal/provenance"
-	"spooftrack/internal/sched"
 	"spooftrack/internal/stream"
 )
 
@@ -323,25 +322,11 @@ func (ct *Controller) recoverLocked() {
 		})
 	}
 	// Fresh cluster (no shard has applied an epoch yet): open the
-	// provenance chain exactly like stream.New does, so the merged
-	// loop's ledger replays with provenance.Replay unchanged.
-	if !ct.opened && led.Enabled() {
-		attr := ct.cfg.Attr
-		par := ct.eval.Params() // defaults resolved
-		led.RecordMeta(provenance.MetaEvent{
-			Component:      "stream",
-			NumSources:     len(attr.Catchments[0]),
-			NumConfigs:     len(attr.Catchments),
-			NumLinks:       attr.NumLinks,
-			MaxMisses:      par.MaxMisses,
-			SplitThreshold: par.SplitThreshold,
-			NoiseFloor:     par.NoiseFloor,
-			InitialConfig:  attr.InitialConfig,
-		})
-		for c, row := range attr.Catchments {
-			led.RecordRowShared(provenance.RowEvent{Config: c, Catchment: row})
-		}
-		led.RecordDeploy(provenance.DeployEvent{Config: attr.InitialConfig, Attempts: 1, Phase: "initial"})
+	// provenance chain through the same Evaluator.OpenLedger stream.New
+	// calls, so the merged loop's ledger replays with provenance.Replay
+	// unchanged.
+	if !ct.opened {
+		ct.eval.OpenLedger(led)
 		for _, m := range ct.members {
 			led.RecordMembership(provenance.MembershipEvent{
 				Node: m, Action: "join", Epoch: ct.epoch, Term: ct.term,
@@ -476,8 +461,9 @@ func (ct *Controller) stepLocked(final bool) (StepResult, error) {
 		return res, nil
 	}
 
-	// Fold through the shared evaluator — the same code path, in the
-	// same order, with the same inputs a single-node pipeline folds.
+	// Fold and record through the shared evaluator — the same code
+	// path, in the same order, with the same inputs a single-node
+	// pipeline folds.
 	var blocked []bool
 	if ct.cfg.Blocked != nil {
 		blocked = ct.cfg.Blocked()
@@ -486,44 +472,10 @@ func (ct *Controller) stepLocked(final bool) (StepResult, error) {
 	if ct.cfg.Remeasure != nil {
 		hints = ct.cfg.Remeasure()
 	}
-	noDeploy := final || ct.frozen
-	out := ct.eval.Step(merged, noDeploy, blocked, hints, led.Enabled())
+	out := ct.eval.Fold(merged, final || ct.frozen, blocked, hints, led)
 	ct.mRounds.Inc()
 	res.Folded = true
 	res.Outcome = out
-
-	led.RecordRound(provenance.RoundEvent{
-		Round:      out.Round,
-		Config:     out.Config,
-		Packets:    total,
-		Volumes:    out.Volumes,
-		Clusters:   out.Clusters,
-		Candidates: out.Candidates,
-	})
-	switch {
-	case out.Deploy >= 0 && out.Reason == "split":
-		led.RecordReconfig(provenance.ReconfigEvent{
-			Round: out.Round, Chosen: out.Deploy, Reason: "split",
-			Beaten:  reconfigScores(out.Scores),
-			Blocked: blockedConfigs(blocked),
-		})
-	case out.Deploy >= 0 && out.Reason == "remeasure":
-		led.RecordReconfig(provenance.ReconfigEvent{
-			Round: out.Round, Chosen: out.Deploy, Reason: "remeasure",
-			Blocked: blockedConfigs(blocked),
-			Hints:   append([]int(nil), hints...),
-		})
-	}
-	if led.Enabled() {
-		led.RecordVerdict(provenance.VerdictEvent{
-			Origin:     "stream",
-			Round:      out.Round,
-			Candidates: ct.eval.Candidates(),
-			Assign:     ct.eval.Assignments(),
-			Clusters:   out.Clusters,
-			Converged:  out.Converged,
-		})
-	}
 
 	// Advance and broadcast: every live shard resets its round counters
 	// and deploys the (possibly new) configuration. A shard that misses
@@ -751,28 +703,4 @@ func (ct *Controller) Stop() {
 		ct.leading = false
 	}
 	ct.mu.Unlock()
-}
-
-// reconfigScores converts scheduler candidate scores to the ledger's
-// representation (mirrors the stream controller).
-func reconfigScores(scores []sched.ConfigScore) []provenance.CandidateScore {
-	if len(scores) == 0 {
-		return nil
-	}
-	out := make([]provenance.CandidateScore, len(scores))
-	for i, s := range scores {
-		out[i] = provenance.CandidateScore{Config: s.Config, Score: s.Score}
-	}
-	return out
-}
-
-// blockedConfigs lists the set configurations of a quarantine mask.
-func blockedConfigs(blocked []bool) []int {
-	var out []int
-	for c, b := range blocked {
-		if b {
-			out = append(out, c)
-		}
-	}
-	return out
 }

@@ -2,7 +2,9 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -132,16 +134,23 @@ func NewFileLease(path string) *FileLease {
 	return &FileLease{path: path, now: time.Now}
 }
 
-func (f *FileLease) read() Lease {
+// read loads the lease. A missing file is the zero (free) lease; any
+// other failure — unreadable or unparsable — is an error, and callers
+// fail closed: a lease that cannot be read must not be granted, or the
+// next term could fall below one the shards have already fenced.
+func (f *FileLease) read() (Lease, error) {
 	var l Lease
 	b, err := os.ReadFile(f.path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return Lease{}, nil
+	}
 	if err != nil {
-		return Lease{}
+		return Lease{}, err
 	}
-	if json.Unmarshal(b, &l) != nil {
-		return Lease{}
+	if err := json.Unmarshal(b, &l); err != nil {
+		return Lease{}, fmt.Errorf("shard: lease file %s: %w", f.path, err)
 	}
-	return l
+	return l, nil
 }
 
 func (f *FileLease) write(l Lease) error {
@@ -162,7 +171,10 @@ func (f *FileLease) write(l Lease) error {
 
 // Acquire implements LeaseStore.
 func (f *FileLease) Acquire(holder string, ttl time.Duration) (Lease, bool) {
-	cur := f.read()
+	cur, err := f.read()
+	if err != nil {
+		return cur, false
+	}
 	now := f.now()
 	if cur.Holder != "" && now.Before(cur.Expires) && cur.Holder != holder {
 		return cur, false
@@ -173,35 +185,39 @@ func (f *FileLease) Acquire(holder string, ttl time.Duration) (Lease, bool) {
 	}
 	// Verify: another process may have renamed over ours between write
 	// and now; whoever's rename landed last owns the lease.
-	got := f.read()
-	return got, got.Holder == holder && got.Term == want.Term
+	got, err := f.read()
+	return got, err == nil && got.Holder == holder && got.Term == want.Term
 }
 
 // Renew implements LeaseStore.
 func (f *FileLease) Renew(holder string, term uint64, ttl time.Duration) bool {
-	cur := f.read()
-	if cur.Holder != holder || cur.Term != term {
+	cur, err := f.read()
+	if err != nil || cur.Holder != holder || cur.Term != term {
 		return false
 	}
 	cur.Expires = f.now().Add(ttl)
 	if f.write(cur) != nil {
 		return false
 	}
-	got := f.read()
-	return got.Holder == holder && got.Term == term
+	got, err := f.read()
+	return err == nil && got.Holder == holder && got.Term == term
 }
 
 // Release implements LeaseStore.
 func (f *FileLease) Release(holder string, term uint64) {
-	cur := f.read()
-	if cur.Holder == holder && cur.Term == term {
+	cur, err := f.read()
+	if err == nil && cur.Holder == holder && cur.Term == term {
 		cur.Expires = f.now()
 		_ = f.write(cur)
 	}
 }
 
-// Current implements LeaseStore.
-func (f *FileLease) Current() Lease { return f.read() }
+// Current implements LeaseStore. An unreadable lease file reads as the
+// zero lease.
+func (f *FileLease) Current() Lease {
+	l, _ := f.read()
+	return l
+}
 
 // Dir ensures the lease file's directory exists (demo convenience).
 func (f *FileLease) Dir() error {

@@ -111,6 +111,13 @@ func (n *Node) HandleCollect(req CollectRequest) (CollectResponse, error) {
 	if err := n.fence(req.Term); err != nil {
 		return CollectResponse{}, err
 	}
+	if e := n.pipe.Epoch(); e < req.Epoch {
+		// Lagging shard (it missed an apply): the controller re-applies
+		// instead of folding, so answer with the epoch alone. A harvest
+		// here would mark the round as collected, and AdvanceEpoch would
+		// then not exclude the packets that arrived after the last fold.
+		return CollectResponse{Node: n.id, Harvest: stream.Harvest{Epoch: e}, Ready: n.isReady()}, nil
+	}
 	return CollectResponse{
 		Node:    n.id,
 		Harvest: n.pipe.HarvestRound(),

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -123,6 +124,82 @@ func TestFileLease(t *testing.T) {
 	lease, ok = f.Acquire("b", time.Hour)
 	if !ok || lease.Holder != "b" || lease.Term != 2 {
 		t.Fatalf("takeover after release: %+v ok=%v", lease, ok)
+	}
+}
+
+// TestFileLeaseFailsClosedOnCorruptFile: a lease file that exists but
+// cannot be parsed is not a free lease. Treating it as one would grant
+// a second holder a term below every term the shards have fenced while
+// the first holder's lease is still live.
+func TestFileLeaseFailsClosedOnCorruptFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ctrl.lease")
+	f := NewFileLease(path)
+	for term := uint64(1); term <= 3; term++ {
+		if lease, ok := f.Acquire("a", time.Minute); !ok || lease.Term != term {
+			t.Fatalf("acquire %d: %+v ok=%v", term, lease, ok)
+		}
+	}
+	garbage := []byte("{not a lease")
+	if err := os.WriteFile(path, garbage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if lease, ok := f.Acquire("b", time.Minute); ok {
+		t.Fatalf("b acquired over an unreadable lease file: %+v", lease)
+	}
+	if f.Renew("a", 3, time.Minute) {
+		t.Fatal("a renewed an unreadable lease file")
+	}
+	f.Release("a", 3)
+	if b, err := os.ReadFile(path); err != nil || string(b) != string(garbage) {
+		t.Fatalf("release rewrote an unreadable lease file: %q, %v", b, err)
+	}
+}
+
+// TestLaggingCollectAccounted: a shard that missed an apply keeps
+// counting under the folded epoch. Its next collect is answered, then
+// re-applied rather than folded, so the packets it gained after the
+// fold must end up in the excluded count: total = folded + excluded.
+func TestLaggingCollectAccounted(t *testing.T) {
+	attr := chaosAttr()
+	n, err := NewNode(NodeConfig{ID: "s0", Attr: attr, Pipe: stream.Config{Workers: 1, BatchSize: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	ingest := func(total int64) {
+		n.Ingest(chaosEvent(attr, 5, 0))
+		deadline := time.Now().Add(5 * time.Second)
+		for n.Pipeline().TotalEvents() < total {
+			if time.Now().After(deadline) {
+				t.Fatalf("event %d never flushed", total)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+
+	ingest(1)
+	resp, err := n.HandleCollect(CollectRequest{Term: 1, Epoch: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded := resp.Harvest.Pkts[0] + resp.Harvest.Pkts[1]
+
+	// The apply of epoch 1 is lost; one more event lands under epoch 0.
+	ingest(2)
+	resp, err = n.HandleCollect(CollectRequest{Term: 1, Epoch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Harvest.Epoch != 0 {
+		t.Fatalf("lagging collect reported epoch %d, want 0", resp.Harvest.Epoch)
+	}
+	if _, err := n.HandleApply(EpochUpdate{Term: 1, Epoch: 1, Config: 0, Members: []string{"s0"}}); err != nil {
+		t.Fatal(err)
+	}
+
+	h := n.Pipeline().HarvestRound()
+	if h.Total != 2 || folded != 1 || h.Total != folded+h.Settled {
+		t.Fatalf("total %d, folded %d, excluded %d: want 2 = 1 + 1", h.Total, folded, h.Settled)
 	}
 }
 

@@ -3,8 +3,6 @@ package stream
 import (
 	"time"
 
-	"spooftrack/internal/provenance"
-	"spooftrack/internal/sched"
 	"spooftrack/internal/trace"
 )
 
@@ -90,13 +88,10 @@ func (p *Pipeline) evaluate(final bool, parent *trace.Span) {
 	}
 	esp := trace.StartChild(parent, "stream.eval")
 
-	// Fold the round and decide the next deployment — the Evaluator is
-	// the shared fold-and-decide core (also run by internal/shard's
-	// controller over merged per-shard counters). With the ledger on,
-	// the scored greedy variant captures the candidate set the chosen
-	// configuration beat.
-	led := p.cfg.Ledger
-	out := st.eval.Step(st.roundPkts, final, blocked, hints, led.Enabled())
+	// Fold the round, decide the next deployment, and record both — the
+	// Evaluator is the shared fold-and-record core (also run by
+	// internal/shard's controller over merged per-shard counters).
+	out := st.eval.Fold(st.roundPkts, final, blocked, hints, p.cfg.Ledger)
 
 	roundBytes := int64(0)
 	for _, n := range st.roundBytes {
@@ -118,44 +113,11 @@ func (p *Pipeline) evaluate(final bool, parent *trace.Span) {
 	p.mClusters.Set(float64(out.Clusters))
 	p.mMeanSize.Set(out.MeanSize)
 	p.mCands.Set(float64(out.Candidates))
-
-	led.RecordRound(provenance.RoundEvent{
-		Round:      out.Round,
-		Config:     out.Config,
-		Packets:    roundPackets,
-		Volumes:    out.Volumes,
-		Clusters:   out.Clusters,
-		Candidates: out.Candidates,
-	})
-	switch {
-	case out.Deploy >= 0 && out.Reason == "split":
+	switch out.Reason {
+	case "split":
 		p.mReconfig.Inc()
-		led.RecordReconfig(provenance.ReconfigEvent{
-			Round:   out.Round,
-			Chosen:  out.Deploy,
-			Reason:  "split",
-			Beaten:  candidateScores(out.Scores),
-			Blocked: blockedConfigs(blocked),
-		})
-	case out.Deploy >= 0 && out.Reason == "remeasure":
+	case "remeasure":
 		p.mRemeasure.Inc()
-		led.RecordReconfig(provenance.ReconfigEvent{
-			Round:   out.Round,
-			Chosen:  out.Deploy,
-			Reason:  "remeasure",
-			Blocked: blockedConfigs(blocked),
-			Hints:   append([]int(nil), hints...),
-		})
-	}
-	if led.Enabled() {
-		led.RecordVerdict(provenance.VerdictEvent{
-			Origin:     "stream",
-			Round:      out.Round,
-			Candidates: st.eval.candidates,
-			Assign:     st.eval.part.Assignments(),
-			Clusters:   out.Clusters,
-			Converged:  out.Converged,
-		})
 	}
 
 	// Start the next round (same config if nothing new to deploy). The
@@ -164,12 +126,7 @@ func (p *Pipeline) evaluate(final bool, parent *trace.Span) {
 	// per-link counts into the new one. The settle deadline is
 	// published before the lock drops so no event produced under the
 	// old configuration can observe a stale value.
-	for l := range st.roundPkts {
-		st.roundPkts[l], st.roundBytes[l] = 0, 0
-	}
-	st.epoch++
-	p.epoch.Store(st.epoch)
-	st.roundStart = time.Now()
+	p.startRoundLocked(st.epoch + 1)
 	if out.Deploy >= 0 && p.cfg.Settle > 0 {
 		p.settleUntil.Store(time.Now().Add(p.cfg.Settle).UnixNano())
 	}
@@ -190,28 +147,19 @@ func (p *Pipeline) evaluate(final bool, parent *trace.Span) {
 	}
 }
 
-// candidateScores converts the scheduler's candidate scores to the
-// ledger's representation.
-func candidateScores(scores []sched.ConfigScore) []provenance.CandidateScore {
-	if len(scores) == 0 {
-		return nil
+// startRoundLocked opens the round accumulating under epoch: zeroed
+// counters, a fresh start time, and the epoch published to the hot
+// path, where it invalidates worker batches from the round before.
+// Caller holds p.mu.
+func (p *Pipeline) startRoundLocked(epoch int64) {
+	st := &p.st
+	for l := range st.roundPkts {
+		st.roundPkts[l], st.roundBytes[l] = 0, 0
 	}
-	out := make([]provenance.CandidateScore, len(scores))
-	for i, s := range scores {
-		out[i] = provenance.CandidateScore{Config: s.Config, Score: s.Score}
-	}
-	return out
-}
-
-// blockedConfigs lists the set configurations of a quarantine mask.
-func blockedConfigs(blocked []bool) []int {
-	var out []int
-	for c, b := range blocked {
-		if b {
-			out = append(out, c)
-		}
-	}
-	return out
+	st.harvested = 0
+	st.epoch = epoch
+	p.epoch.Store(epoch)
+	st.roundStart = time.Now()
 }
 
 // queueDepth sums the occupancy of every shard channel (approximate).

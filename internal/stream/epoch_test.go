@@ -134,3 +134,44 @@ func TestRelayHarvestAdvance(t *testing.T) {
 		t.Fatalf("relay pipeline folded %d rounds locally", p.Status(1).Rounds)
 	}
 }
+
+// TestRelayAdvanceAccountsUnharvested pins the relay accounting rule:
+// packets flushed into a round after the controller's last harvest of
+// it are never folded, so AdvanceEpoch must count them as excluded —
+// every event is either in a harvest the controller folded or in the
+// settled count, never silently in neither.
+func TestRelayAdvanceAccountsUnharvested(t *testing.T) {
+	p, err := New(testAttribution(), Config{Workers: 1, BatchSize: 1024, Relay: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	b := newBatch(p.attr.NumLinks)
+	p.accumulate(b, testEvent(0), nil)
+	p.flush(b, nil)
+	h := p.HarvestRound()
+	folded := int64(0)
+	for _, n := range h.Pkts {
+		folded += n
+	}
+
+	// A batch lands between the collect and the apply.
+	p.accumulate(b, testEvent(1), nil)
+	p.flush(b, nil)
+	if err := p.AdvanceEpoch(1, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	after := p.HarvestRound()
+	if after.Total != 2 || folded != 1 {
+		t.Fatalf("total = %d, folded = %d; want 2 and 1", after.Total, folded)
+	}
+	if after.Total != folded+after.Settled {
+		t.Fatalf("total %d != folded %d + settled %d: a post-harvest batch went unaccounted",
+			after.Total, folded, after.Settled)
+	}
+	if got := p.cfg.Metrics.Counter("stream_settle_excluded_total").Value(); got != 1 {
+		t.Fatalf("stream_settle_excluded_total = %d, want 1", got)
+	}
+}

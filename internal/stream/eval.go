@@ -5,27 +5,24 @@ import (
 
 	"spooftrack/internal/bgp"
 	"spooftrack/internal/cluster"
+	"spooftrack/internal/provenance"
 	"spooftrack/internal/sched"
 	"spooftrack/internal/spoof"
 )
 
-// EvalParams are the decision-relevant knobs of the attribution loop —
-// the subset of Config that determines, byte for byte, what the
-// controller folds and deploys. The single-node Pipeline and the
-// sharded controller (internal/shard) both run an Evaluator built from
-// the same params, which is what makes "byte-identical localization
-// versus single-node" a property of shared code rather than of two
-// implementations agreeing.
+// EvalParams are the decision knobs of the attribution loop — what
+// determines, byte for byte, what the loop folds and deploys. The
+// single-node Pipeline and the sharded controller (internal/shard) both
+// run an Evaluator built from the same params, which is what makes
+// "byte-identical localization versus single-node" a property of shared
+// code rather than of two implementations agreeing.
 type EvalParams struct {
 	// SplitThreshold: reconfigure while the top volume-ranked candidate
-	// cluster holds more than this many sources (default 1).
+	// cluster holds more than this many sources (default 1 — drive to
+	// singletons).
 	SplitThreshold int
-	// MaxMisses is the localization tolerance (0 = exact correlation).
-	MaxMisses int
-	// NoiseFloor is the fraction of a round's volume below which a link
-	// counts as silent (default 0.02; negative disables).
-	NoiseFloor float64
-	// MaxOnlineConfigs caps deployments beyond the initial one (0 = no cap).
+	// MaxOnlineConfigs caps how many configurations the loop may deploy
+	// beyond the initial one (0 = no cap).
 	MaxOnlineConfigs int
 }
 
@@ -33,12 +30,19 @@ func (p *EvalParams) setDefaults() {
 	if p.SplitThreshold <= 0 {
 		p.SplitThreshold = 1
 	}
-	if p.NoiseFloor == 0 {
-		p.NoiseFloor = 0.02
-	} else if p.NoiseFloor < 0 {
-		p.NoiseFloor = 0
-	}
 }
+
+// The loop's fixed localization settings, recorded in the ledger's
+// MetaEvent so provenance.Replay re-derives with the same values.
+const (
+	// maxMisses is the localization tolerance: 0 is the paper's exact
+	// correlation.
+	maxMisses = 0
+	// noiseFloor is the fraction of a round's volume below which a link
+	// counts as silent: it absorbs packets straggling across a
+	// reconfiguration under the previous catchment table.
+	noiseFloor = 0.02
+)
 
 // EvalRound is one folded round as the Evaluator records it: the
 // configuration it was measured under and the post-noise-floor per-link
@@ -131,7 +135,7 @@ func (e *Evaluator) Step(roundPkts []int64, final bool, blocked []bool, hints []
 	// handful of packets straggling across a reconfiguration (stamped
 	// under the previous catchment table) cannot keep a cluster alive.
 	volumes := make([]float64, len(roundPkts))
-	floor := e.par.NoiseFloor * float64(roundPackets)
+	floor := noiseFloor * float64(roundPackets)
 	for l, n := range roundPkts {
 		if v := float64(n); v > floor {
 			volumes[l] = v
@@ -141,7 +145,7 @@ func (e *Evaluator) Step(roundPkts []int64, final bool, blocked []bool, hints []
 	cur := e.current
 	e.loc.AddRound(e.attr.Catchments[cur], volumes)
 	e.part.Refine(e.attr.Catchments[cur])
-	e.candidates = e.loc.Candidates(e.par.MaxMisses)
+	e.candidates = e.loc.Candidates(maxMisses)
 	e.rounds = append(e.rounds, EvalRound{Config: cur, Volumes: volumes})
 
 	m := e.part.Summarize()
@@ -209,6 +213,81 @@ func (e *Evaluator) Step(roundPkts []int64, final bool, blocked []bool, hints []
 	return out
 }
 
+// Fold is Step plus the decision record: it folds one round and, with
+// the ledger on, records the round, the reconfiguration it chose (with
+// the candidate set a split beat, or the hints a re-measurement
+// served), and the verdict after it. Both controllers — the single-node
+// Pipeline and internal/shard's merged-round controller — fold through
+// here, so their ledgers agree event for event. With a nil ledger Fold
+// is Step plus nil checks.
+func (e *Evaluator) Fold(roundPkts []int64, final bool, blocked []bool, hints []int, led *provenance.Ledger) Outcome {
+	out := e.Step(roundPkts, final, blocked, hints, led.Enabled())
+	if !led.Enabled() {
+		return out
+	}
+	packets := int64(0)
+	for _, n := range roundPkts {
+		packets += n
+	}
+	led.RecordRound(provenance.RoundEvent{
+		Round:      out.Round,
+		Config:     out.Config,
+		Packets:    packets,
+		Volumes:    out.Volumes,
+		Clusters:   out.Clusters,
+		Candidates: out.Candidates,
+	})
+	if out.Deploy >= 0 {
+		rc := provenance.ReconfigEvent{Round: out.Round, Chosen: out.Deploy, Reason: out.Reason}
+		for c, b := range blocked {
+			if b {
+				rc.Blocked = append(rc.Blocked, c)
+			}
+		}
+		if out.Reason == "remeasure" {
+			rc.Hints = append([]int(nil), hints...)
+		}
+		for _, sc := range out.Scores {
+			rc.Beaten = append(rc.Beaten, provenance.CandidateScore{Config: sc.Config, Score: sc.Score})
+		}
+		led.RecordReconfig(rc)
+	}
+	led.RecordVerdict(provenance.VerdictEvent{
+		Origin:     "stream",
+		Round:      out.Round,
+		Candidates: e.candidates,
+		Assign:     e.part.Assignments(),
+		Clusters:   out.Clusters,
+		Converged:  out.Converged,
+	})
+	return out
+}
+
+// OpenLedger opens the live loop's provenance chain: the decision
+// parameters, one catchment row per configuration (the leaves every
+// verdict chain must account for), and the initial deployment. The rows
+// are shared, not copied: the evaluator folds against the same
+// immutable matrix. A nil ledger records nothing.
+func (e *Evaluator) OpenLedger(led *provenance.Ledger) {
+	if !led.Enabled() {
+		return
+	}
+	led.RecordMeta(provenance.MetaEvent{
+		Component:      "stream",
+		NumSources:     len(e.attr.Catchments[0]),
+		NumConfigs:     len(e.attr.Catchments),
+		NumLinks:       e.attr.NumLinks,
+		MaxMisses:      maxMisses,
+		SplitThreshold: e.par.SplitThreshold,
+		NoiseFloor:     noiseFloor,
+		InitialConfig:  e.attr.InitialConfig,
+	})
+	for c, row := range e.attr.Catchments {
+		led.RecordRowShared(provenance.RowEvent{Config: c, Catchment: row})
+	}
+	led.RecordDeploy(provenance.DeployEvent{Config: e.attr.InitialConfig, Attempts: 1, Phase: "initial"})
+}
+
 // estimateVolumes attributes the round's per-link volume to sources:
 // each candidate whose current catchment is link l gets an equal share
 // of volumes[l]; eliminated sources get zero.
@@ -270,10 +349,6 @@ func (e *Evaluator) splittable(members []int) bool {
 	}
 	return false
 }
-
-// Params returns the evaluator's resolved decision parameters (defaults
-// applied).
-func (e *Evaluator) Params() EvalParams { return e.par }
 
 // Current returns the configuration the evaluator expects the next
 // round to be measured under.
@@ -355,7 +430,7 @@ func RestoreEvaluator(attr Attribution, par EvalParams, s EvalSnapshot) (*Evalua
 		e.part.Refine(attr.Catchments[r.Config])
 		e.rounds = append(e.rounds, EvalRound{Config: r.Config, Volumes: vols})
 	}
-	e.candidates = e.loc.Candidates(par.MaxMisses)
+	e.candidates = e.loc.Candidates(maxMisses)
 	e.current = s.Current
 	e.converged = s.Converged
 	return e, nil

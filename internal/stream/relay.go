@@ -35,6 +35,10 @@ func (p *Pipeline) HarvestRound() Harvest {
 		TotalBytes: st.totalBytes,
 		Settled:    st.settled,
 	}
+	st.harvested = 0
+	for _, n := range h.Pkts {
+		st.harvested += n
+	}
 	p.mu.Unlock()
 	h.Degraded = p.degraded.Load()
 	h.Dropped = p.droppedN.Load()
@@ -49,10 +53,13 @@ func (p *Pipeline) Epoch() int64 { return p.epoch.Load() }
 // It resets the round counters, bumps the epoch — invalidating worker
 // batches accumulated under the old one, exactly like a local fold —
 // arms the settle window, and deploys the configuration when it
-// changed. Re-applying the pipeline's current (epoch, config) is an
-// idempotent no-op, so a controller recovering from failover can
-// re-broadcast its snapshot safely; an epoch older than the pipeline's
-// is rejected (a stale controller must not rewind the shard).
+// changed. Packets the closing round gained after its last harvest
+// were never collected, so they are counted as excluded
+// (stream_settle_excluded_total) rather than dropped silently.
+// Re-applying the pipeline's current (epoch, config) is an idempotent
+// no-op, so a controller recovering from failover can re-broadcast its
+// snapshot safely; an epoch older than the pipeline's is rejected (a
+// stale controller must not rewind the shard).
 func (p *Pipeline) AdvanceEpoch(epoch int64, cfgIdx int) error {
 	if cfgIdx < 0 || cfgIdx >= len(p.attr.Catchments) {
 		return fmt.Errorf("stream: advance to config %d out of range", cfgIdx)
@@ -69,12 +76,15 @@ func (p *Pipeline) AdvanceEpoch(epoch int64, cfgIdx int) error {
 		return nil
 	}
 	changed := cfgIdx != st.eval.current
-	for l := range st.roundPkts {
-		st.roundPkts[l], st.roundBytes[l] = 0, 0
+	// The controller folds a round as its last harvest returned it:
+	// packets flushed after that harvest are excluded, like a stale
+	// batch, so every event is either folded or counted as excluded.
+	unharvested := -st.harvested
+	for _, n := range st.roundPkts {
+		unharvested += n
 	}
-	st.epoch = epoch
-	p.epoch.Store(epoch)
-	st.roundStart = time.Now()
+	st.settled += unharvested
+	p.startRoundLocked(epoch)
 	if changed {
 		st.eval.current = cfgIdx
 		st.eval.used[cfgIdx] = true
@@ -84,6 +94,7 @@ func (p *Pipeline) AdvanceEpoch(epoch int64, cfgIdx int) error {
 		}
 	}
 	p.mu.Unlock()
+	p.mSettle.Add(unharvested)
 	if changed && p.cfg.Deploy != nil {
 		p.cfg.Deploy(cfgIdx, p.table(cfgIdx))
 	}

@@ -73,25 +73,14 @@ type Config struct {
 	// EvalInterval is the controller's evaluation cadence (default
 	// 2×FlushInterval).
 	EvalInterval time.Duration
-	// SplitThreshold: reconfigure while the top volume-ranked candidate
-	// cluster holds more than this many sources (default 1 — drive to
-	// singletons).
-	SplitThreshold int
+	// Eval are the loop's decision knobs (split threshold, online
+	// configuration budget) — the same EvalParams the sharded
+	// controller takes.
+	Eval EvalParams
 	// MinRoundPackets is the volume a round must accumulate before the
 	// controller acts on it (default 50) — acting on a near-empty round
 	// would eliminate every quiet source.
 	MinRoundPackets int64
-	// MaxMisses is the localization tolerance (spoof.LocalizeTolerant);
-	// 0 is the paper's exact correlation.
-	MaxMisses int
-	// NoiseFloor is the fraction of a round's total volume below which
-	// a link counts as silent when folding the round — absorbs packets
-	// straggling across a reconfiguration under the old catchment
-	// table. Default 0.02; negative disables.
-	NoiseFloor float64
-	// MaxOnlineConfigs caps how many configurations the loop may deploy
-	// beyond the initial one (0 = no cap).
-	MaxOnlineConfigs int
 	// Settle ignores events observed within this duration after a
 	// reconfiguration for round accounting (they still count toward
 	// totals): packets stamped under the previous catchment table may
@@ -167,15 +156,9 @@ func (c *Config) setDefaults() {
 	if c.EvalInterval <= 0 {
 		c.EvalInterval = 2 * c.FlushInterval
 	}
-	if c.SplitThreshold <= 0 {
-		c.SplitThreshold = 1
-	}
 	if c.MinRoundPackets <= 0 {
 		c.MinRoundPackets = 50
 	}
-	// NoiseFloor is left as-is: EvalParams.setDefaults resolves the
-	// 0-means-default / negative-means-disabled convention, so the
-	// Pipeline and the sharded controller resolve it identically.
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
 	}
@@ -274,8 +257,11 @@ type loopState struct {
 	bySource   map[netip.Addr]int64
 	total      int64
 	totalBytes int64
-	settled    int64 // events excluded from rounds while settling
-	history    []RoundRecord
+	settled    int64 // events excluded from rounds (settling, stale, unharvested)
+	// harvested is the packet count the round's last HarvestRound
+	// returned (relay mode); AdvanceEpoch excludes the rest.
+	harvested int64
+	history   []RoundRecord
 	// lastDropped is the shed counter at the previous evaluation; the
 	// degraded flag clears when it stops moving and queues are drained.
 	lastDropped int64
@@ -345,12 +331,7 @@ func New(attr Attribution, cfg Config) (*Pipeline, error) {
 	}
 
 	p.st = loopState{
-		eval: NewEvaluator(attr, EvalParams{
-			SplitThreshold:   cfg.SplitThreshold,
-			MaxMisses:        cfg.MaxMisses,
-			NoiseFloor:       cfg.NoiseFloor,
-			MaxOnlineConfigs: cfg.MaxOnlineConfigs,
-		}),
+		eval:       NewEvaluator(attr, cfg.Eval),
 		roundPkts:  make([]int64, attr.NumLinks),
 		roundBytes: make([]int64, attr.NumLinks),
 		roundStart: time.Now(),
@@ -359,27 +340,7 @@ func New(attr Attribution, cfg Config) (*Pipeline, error) {
 	p.mClusters.Set(1)
 	p.mCands.Set(float64(n))
 	p.mMeanSize.Set(float64(n))
-
-	// Open the provenance chain: the stream's decision parameters, the
-	// full catchment evidence table (one row per configuration — the
-	// leaves every verdict chain must account for), and the initial
-	// deployment. All no-ops when the ledger is nil.
-	if led := cfg.Ledger; led.Enabled() {
-		led.RecordMeta(provenance.MetaEvent{
-			Component:      "stream",
-			NumSources:     n,
-			NumConfigs:     len(attr.Catchments),
-			NumLinks:       attr.NumLinks,
-			MaxMisses:      p.st.eval.par.MaxMisses,
-			SplitThreshold: p.st.eval.par.SplitThreshold,
-			NoiseFloor:     p.st.eval.par.NoiseFloor,
-			InitialConfig:  attr.InitialConfig,
-		})
-		for c, row := range attr.Catchments {
-			led.RecordRow(provenance.RowEvent{Config: c, Catchment: row})
-		}
-		led.RecordDeploy(provenance.DeployEvent{Config: attr.InitialConfig, Attempts: 1, Phase: "initial"})
-	}
+	p.st.eval.OpenLedger(cfg.Ledger)
 
 	if cfg.Deploy != nil {
 		cfg.Deploy(attr.InitialConfig, p.table(attr.InitialConfig))

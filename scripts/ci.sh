@@ -3,7 +3,9 @@
 # module, then run the race detector over the concurrency-heavy packages
 # (streaming pipeline, honeypot, parallel campaign deployment, pooled
 # propagation engine), and smoke-test the benchmark harness so a perf
-# regression in the engine fast path cannot land silently broken.
+# regression in the engine fast path cannot land silently broken. The
+# perfbench module imports the stream and shard APIs but has its own
+# go.mod, so it is vetted and tested in a step of its own.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -23,6 +25,9 @@ go build ./...
 
 echo "==> go test"
 go test ./...
+
+echo "==> perfbench module (own go.mod, so the root vet/build/test skip it)"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "==> go test -race (stream, amp, core, bgp, trace, metrics, watch, tsdb, fault, peering, probe, provenance, shard)"
 go test -race ./internal/stream/... ./internal/amp/... ./internal/core/... ./internal/bgp/... ./internal/trace/... ./internal/metrics/... ./internal/watch/... ./internal/tsdb/... ./internal/fault/... ./internal/peering/... ./internal/probe/... ./internal/provenance/... ./internal/shard/...
